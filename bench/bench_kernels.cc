@@ -4,22 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "doduo/baselines/sherlock_features.h"
 #include "doduo/cluster/kmeans.h"
 #include "doduo/core/annotator.h"
-#include "doduo/core/model_io.h"
-#include "doduo/core/replica_pool.h"
 #include "doduo/nn/ops.h"
-#include "doduo/nn/quant.h"
 #include "doduo/table/serializer.h"
 #include "doduo/text/wordpiece_trainer.h"
 #include "doduo/transformer/bert.h"
@@ -34,7 +27,9 @@ using doduo::nn::Tensor;
 // GEMM at a fixed thread-pool size; Args are (matrix size, threads).
 // threads=1 is the serial path (the parallel dispatch gate sees a
 // single-thread pool and runs inline), so BM_MatMul/256/1 vs /256/4 is the
-// serial-vs-parallel comparison the scaling PRs track.
+// serial-vs-parallel comparison. Every benchmark that runs on more than one
+// thread uses UseRealTime(): the default rate divides by the main thread's
+// CPU time, which excludes the pool workers and overstates throughput.
 void BM_MatMul(benchmark::State& state) {
   const int64_t n = state.range(0);
   doduo::util::SetComputeThreads(static_cast<int>(state.range(1)));
@@ -57,7 +52,8 @@ BENCHMARK(BM_MatMul)
     ->ArgPair(256, 1)
     ->ArgPair(256, 2)
     ->ArgPair(256, 4)
-    ->ArgPair(256, 8);
+    ->ArgPair(256, 8)
+    ->UseRealTime();
 
 void BM_MatMulTransposedB(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -75,99 +71,10 @@ void BM_MatMulTransposedB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   doduo::util::SetComputeThreads(1);
 }
-BENCHMARK(BM_MatMulTransposedB)->ArgPair(256, 1)->ArgPair(256, 4);
-
-// Bench-local fp32 scalar GEMM. The production dispatcher caches its SIMD
-// choice once per process, so the "fp32 with no vector units" baseline the
-// int8 speedup claim compares against (DESIGN §14) is computed here rather
-// than by flipping DODUO_SIMD mid-run.
-void Fp32ScalarGemm(const Tensor& a, const Tensor& b, Tensor* out) {
-  const int64_t m = a.dim(0);
-  const int64_t k = a.dim(1);
-  const int64_t n = b.dim(1);
-  out->ResizeUninitialized({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) pc[i * n + j] = 0.0f;
-    for (int64_t l = 0; l < k; ++l) {
-      const float av = pa[i * k + l];
-      for (int64_t j = 0; j < n; ++j) pc[i * n + j] += av * pb[l * n + j];
-    }
-  }
-}
-
-void BM_MatMulScalarRef(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  doduo::util::Rng rng(1);
-  Tensor a({n, n});
-  Tensor b({n, n});
-  a.FillNormal(&rng, 1.0f);
-  b.FillNormal(&rng, 1.0f);
-  Tensor c;
-  for (auto _ : state) {
-    Fp32ScalarGemm(a, b, &c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_MatMulScalarRef)->Arg(64)->Arg(128)->Arg(256);
-
-// Int8 GEMM through Int8Linear — the full quantized inference cost per
-// call: dynamic per-row activation quantization, the int8 dot kernel, and
-// the fused dequant epilogue. Weight quantization happens once outside the
-// loop, mirroring Linear's prequantized cache. items_per_second is directly
-// comparable to BM_MatMul at the same size.
-void BM_Int8Gemm(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  doduo::util::SetComputeThreads(static_cast<int>(state.range(1)));
-  doduo::util::Rng rng(1);
-  Tensor x({n, n});
-  Tensor w({n, n});
-  x.FillNormal(&rng, 1.0f);
-  w.FillNormal(&rng, 1.0f);
-  doduo::nn::QuantizedWeight qw;
-  doduo::nn::QuantizeWeight(w, &qw);
-  Tensor y;
-  for (auto _ : state) {
-    doduo::nn::Int8Linear(x, doduo::nn::View(qw), nullptr, &y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(doduo::nn::Int8KernelName());
-  doduo::util::SetComputeThreads(1);
-}
-BENCHMARK(BM_Int8Gemm)
-    ->ArgPair(64, 1)
-    ->ArgPair(128, 1)
+BENCHMARK(BM_MatMulTransposedB)
     ->ArgPair(256, 1)
-    ->ArgPair(256, 4);
-
-// Raw int8 dot product per available ISA kernel (Arg = index into
-// Int8DotKernels(): 0 scalar, then SSE2/AVX2 when the CPU has them).
-void BM_Int8Dot(benchmark::State& state) {
-  const auto kernels = doduo::nn::Int8DotKernels();
-  const auto which = static_cast<size_t>(state.range(0));
-  if (which >= kernels.size()) {
-    state.SkipWithError("kernel not available on this CPU");
-    return;
-  }
-  const int64_t k = 4096;
-  std::vector<int8_t> a(static_cast<size_t>(k));
-  std::vector<int8_t> b(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    a[static_cast<size_t>(i)] = static_cast<int8_t>(i * 7 % 255 - 127);
-    b[static_cast<size_t>(i)] = static_cast<int8_t>(i * 13 % 255 - 127);
-  }
-  for (auto _ : state) {
-    int32_t dot = kernels[which].fn(a.data(), b.data(), k);
-    benchmark::DoNotOptimize(dot);
-  }
-  state.SetLabel(kernels[which].name);
-  state.SetItemsProcessed(state.iterations() * 2 * k);
-}
-BENCHMARK(BM_Int8Dot)->Arg(0)->Arg(1)->Arg(2);
+    ->ArgPair(256, 4)
+    ->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state) {
   doduo::util::Rng rng(2);
@@ -424,178 +331,12 @@ void BM_AnnotateTypesBatch(benchmark::State& state) {
                           static_cast<int64_t>(fixture.tables.size()));
   doduo::util::SetComputeThreads(1);
 }
-BENCHMARK(BM_AnnotateTypesBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// End-to-end annotation with the int8 inference path toggled (Arg: 0 =
-// fp32, 1 = DODUO_QUANT on) — the tables/sec comparison DESIGN §14 tracks.
-void BM_AnnotateTypesQuant(benchmark::State& state) {
-  static BatchAnnotateFixture fixture;
-  doduo::nn::SetQuantEnabled(state.range(0) != 0);
-  doduo::core::Annotator annotator(fixture.model.get(),
-                                   fixture.serializer.get(), &fixture.types,
-                                   nullptr);
-  for (auto _ : state) {
-    auto results = annotator.AnnotateTypesBatch(fixture.tables).value();
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fixture.tables.size()));
-  doduo::nn::SetQuantEnabled(false);
-}
-BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
-
-// ---------------------------------------------------------------------------
-// BENCH_quant.json — machine-readable quantization scorecard (DESIGN §14),
-// emitted when DODUO_BENCH_QUANT=1: GEMM GFLOP/s for the dispatched fp32
-// path, the fp32 scalar reference, and int8 (with the speedup ratio the
-// acceptance gate checks); batched annotation tables/sec with the quant
-// path off and on; and the per-worker RSS delta of a ReplicaPool built
-// over a v2 mmap checkpoint, next to the bytes the load actually mapped.
-
-template <typename Fn>
-double SecondsPerCall(int iters, const Fn& fn) {
-  fn();  // warm up (and fault in any lazily built state)
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) fn();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count() / iters;
-}
-
-// Resident set size in kB from /proc/self/status, or -1 off-Linux.
-int64_t VmRssKb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::strtoll(line.c_str() + 6, nullptr, 10);
-    }
-  }
-  return -1;
-}
-
-void EmitQuantBenchJson() {
-  const std::string path = doduo::util::GetEnvString("DODUO_BENCH_QUANT_JSON",
-                                                     "BENCH_quant.json");
-  const int64_t n = 256;
-  doduo::util::Rng rng(9);
-  Tensor x({n, n});
-  Tensor w({n, n});
-  x.FillNormal(&rng, 1.0f);
-  w.FillNormal(&rng, 1.0f);
-  doduo::nn::QuantizedWeight qw;
-  doduo::nn::QuantizeWeight(w, &qw);
-  const double flops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
-                       static_cast<double>(n);
-
-  Tensor y;
-  const double fp32_s =
-      SecondsPerCall(20, [&] { doduo::nn::MatMul(x, w, &y); });
-  const double scalar_s =
-      SecondsPerCall(5, [&] { Fp32ScalarGemm(x, w, &y); });
-  const double int8_s = SecondsPerCall(
-      20, [&] { doduo::nn::Int8Linear(x, doduo::nn::View(qw), nullptr, &y); });
-  const double fp32_gflops = flops / fp32_s / 1e9;
-  const double scalar_gflops = flops / scalar_s / 1e9;
-  const double int8_gflops = flops / int8_s / 1e9;
-  const double speedup = scalar_s / int8_s;
-
-  // End-to-end annotate throughput, fp32 vs int8, same model and tables.
-  BatchAnnotateFixture fixture;
-  doduo::core::Annotator annotator(fixture.model.get(),
-                                   fixture.serializer.get(), &fixture.types,
-                                   nullptr);
-  const double tables = static_cast<double>(fixture.tables.size());
-  doduo::nn::SetQuantEnabled(false);
-  const double fp32_batch_s = SecondsPerCall(3, [&] {
-    auto results = annotator.AnnotateTypesBatch(fixture.tables).value();
-    benchmark::DoNotOptimize(results.data());
-  });
-  doduo::nn::SetQuantEnabled(true);
-  const double int8_batch_s = SecondsPerCall(3, [&] {
-    auto results = annotator.AnnotateTypesBatch(fixture.tables).value();
-    benchmark::DoNotOptimize(results.data());
-  });
-  doduo::nn::SetQuantEnabled(false);
-
-  // Replica-pool RSS: save the fixture model as a v2 int8 checkpoint,
-  // reload it (weights borrow the mapping), and measure what each extra
-  // worker costs in resident memory on top of the shared weights.
-  const int kWorkers = 4;
-  int64_t bytes_mapped = 0;
-  int64_t rss_before_kb = -1;
-  int64_t rss_after_kb = -1;
-  double rss_per_worker_kb = -1.0;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "doduo_bench_quant_ckpt")
-          .string();
-  std::filesystem::remove_all(dir);
-  doduo::table::LabelVocab relations;
-  const doduo::util::Status saved = doduo::core::SaveModelDir(
-      dir, fixture.model.get(), BatchAnnotateFixture::shared().vocab,
-      fixture.types, relations, {.checkpoint_version = 2, .quant_int8 = true});
-  if (saved.ok()) {
-    doduo::util::Counter* mapped =
-        doduo::util::GetCounter("load.bytes_mapped");
-    const uint64_t mapped_before = mapped->value();
-    auto loaded = doduo::core::LoadModelDir(dir);
-    if (loaded.ok()) {
-      doduo::core::LoadedModel& m = *loaded.value();
-      bytes_mapped = static_cast<int64_t>(mapped->value() - mapped_before);
-      rss_before_kb = VmRssKb();
-      doduo::core::ReplicaPool pool(m.model.get(), m.serializer.get(),
-                                    &m.types, m.relation_vocab(), kWorkers);
-      rss_after_kb = VmRssKb();
-      if (rss_before_kb >= 0 && rss_after_kb >= 0) {
-        rss_per_worker_kb =
-            static_cast<double>(rss_after_kb - rss_before_kb) /
-            (pool.num_replicas() - 1);
-      }
-    } else {
-      std::fprintf(stderr, "quant_bench: load failed: %s\n",
-                   loaded.status().ToString().c_str());
-    }
-  } else {
-    std::fprintf(stderr, "quant_bench: save failed: %s\n",
-                 saved.ToString().c_str());
-  }
-  std::filesystem::remove_all(dir);
-
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "quant_bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out,
-               "  \"gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld,\n"
-               "    \"fp32_gflops\": %.3f, \"fp32_scalar_gflops\": %.3f,\n"
-               "    \"int8_gflops\": %.3f, \"int8_kernel\": \"%s\",\n"
-               "    \"int8_vs_fp32_scalar\": %.3f},\n",
-               static_cast<long long>(n), static_cast<long long>(n),
-               static_cast<long long>(n), fp32_gflops, scalar_gflops,
-               int8_gflops, doduo::nn::Int8KernelName(), speedup);
-  std::fprintf(out,
-               "  \"annotate\": {\"tables\": %d,\n"
-               "    \"fp32_tables_per_sec\": %.2f,\n"
-               "    \"int8_tables_per_sec\": %.2f},\n",
-               static_cast<int>(tables), tables / fp32_batch_s,
-               tables / int8_batch_s);
-  std::fprintf(out,
-               "  \"replica_pool\": {\"workers\": %d,\n"
-               "    \"bytes_mapped\": %lld, \"rss_before_kb\": %lld,\n"
-               "    \"rss_after_kb\": %lld, \"rss_per_worker_kb\": %.1f}\n",
-               kWorkers, static_cast<long long>(bytes_mapped),
-               static_cast<long long>(rss_before_kb),
-               static_cast<long long>(rss_after_kb), rss_per_worker_kb);
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  // The acceptance line tools/check.sh greps: int8 must beat fp32 scalar
-  // by >= 1.5x on this machine.
-  std::fprintf(stderr, "quant_bench: int8/fp32-scalar speedup = %.2f\n",
-               speedup);
-  std::fprintf(stderr, "quant_bench: wrote %s\n", path.c_str());
-}
+BENCHMARK(BM_AnnotateTypesBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 void BM_KMeans(benchmark::State& state) {
   doduo::util::Rng rng(6);
@@ -622,9 +363,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (doduo::util::GetEnvInt("DODUO_BENCH_QUANT", 0) != 0) {
-    EmitQuantBenchJson();
-  }
   if (doduo::util::GetEnvInt("DODUO_BENCH_METRICS", 0) != 0) {
     std::fprintf(stderr, "%s\n", doduo::util::MetricsToJson().c_str());
   }

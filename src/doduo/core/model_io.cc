@@ -138,28 +138,14 @@ util::Result<std::unique_ptr<LoadedModel>> LoadModelDir(
 util::Status SaveModelDir(const std::string& dir, DoduoModel* model,
                           const text::Vocab& vocab,
                           const table::LabelVocab& types,
-                          const table::LabelVocab& relations,
-                          const SaveModelOptions& options) {
+                          const table::LabelVocab& relations) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Status::IoError("cannot create " + dir + ": " + ec.message());
   }
-  if (options.checkpoint_version != 1 && options.checkpoint_version != 2) {
-    return Status::InvalidArgument("unsupported checkpoint_version " +
-                                   std::to_string(options.checkpoint_version));
-  }
-  if (options.quant_int8 && options.checkpoint_version != 2) {
-    return Status::InvalidArgument("int8 storage requires checkpoint v2");
-  }
-  const std::string ckpt = dir + "/model.ckpt";
-  Status ckpt_status;
-  if (options.checkpoint_version == 2) {
-    ckpt_status = nn::SaveParametersV2(ckpt, model->Parameters(),
-                                       {.quant_int8 = options.quant_int8});
-  } else {
-    ckpt_status = nn::SaveParameters(ckpt, model->Parameters());
-  }
+  const Status ckpt_status =
+      nn::SaveParametersV2(dir + "/model.ckpt", model->Parameters());
   for (const Status& status :
        {ckpt_status, vocab.Save(dir + "/vocab.txt"),
         SaveLabels(dir + "/types.txt", types),

@@ -52,22 +52,13 @@ struct LoadedModel {
 [[nodiscard]] util::Result<std::unique_ptr<LoadedModel>> LoadModelDir(
     const std::string& dir);
 
-/// How SaveModelDir writes the checkpoint.
-struct SaveModelOptions {
-  /// 1 = legacy parse-and-copy stream; 2 = mmap-able aligned format
-  /// (DESIGN §14). Default v2.
-  int checkpoint_version = 2;
-  /// v2 only: store Linear weights as int8 + per-channel scales.
-  bool quant_int8 = false;
-};
-
-/// Saves `model` and its vocabularies as a model directory (creates `dir`).
+/// Saves `model` and its vocabularies as a model directory (creates `dir`);
+/// the weights go to model.ckpt in the v2 checkpoint format (DESIGN §14).
 [[nodiscard]] util::Status SaveModelDir(const std::string& dir,
                                         DoduoModel* model,
                                         const text::Vocab& vocab,
                                         const table::LabelVocab& types,
-                                        const table::LabelVocab& relations,
-                                        const SaveModelOptions& options = {});
+                                        const table::LabelVocab& relations);
 
 }  // namespace doduo::core
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "doduo/nn/parameter.h"
 #include "doduo/util/check.h"
 #include "doduo/util/rng.h"
 
@@ -28,7 +27,6 @@ ReplicaPool::ReplicaPool(DoduoModel* primary,
   models_.reserve(static_cast<size_t>(num_replicas));
   models_.push_back(primary);
   owned_models_.reserve(static_cast<size_t>(num_replicas - 1));
-  const nn::ParameterList primary_params = primary->Parameters();
   for (int r = 1; r < num_replicas; ++r) {
     util::Rng rng(1);  // initializer values are immediately overwritten
     auto replica = std::make_unique<DoduoModel>(primary->config(), &rng);
@@ -37,16 +35,6 @@ ReplicaPool::ReplicaPool(DoduoModel* primary,
     // of replicas (and, for an mmap-ed v2 checkpoint, shared across
     // processes too — DESIGN §14).
     replica->AdoptWeights(weights_);
-    // Carry over any checkpoint-precomputed int8 weights; the tables are
-    // immutable and shared_ptr-held, so replicas reference one copy.
-    const nn::ParameterList replica_params = replica->Parameters();
-    DODUO_CHECK_EQ(replica_params.size(), primary_params.size());
-    for (size_t i = 0; i < primary_params.size(); ++i) {
-      const nn::Parameter* src = primary_params[i];
-      if (src->prequant != nullptr && src->prequant_revision == src->revision) {
-        replica_params[i]->AttachPrequant(src->prequant);
-      }
-    }
     replica->set_mask_builder(primary->mask_builder());
     replica->set_training(false);
     models_.push_back(replica.get());

@@ -25,11 +25,10 @@ namespace doduo::core {
 /// shared snapshot (DoduoModel::AdoptWeights) — no per-replica weight copy
 /// exists, and when the primary was itself loaded from an mmap-ed v2
 /// checkpoint the snapshot aliases the mapping, so every replica in every
-/// worker process reads the same physical pages (DESIGN §14). Any
-/// precomputed int8 weight tables ride along by shared_ptr the same way.
-/// Every replica carries its own per-request workspace
-/// (encoder arenas, forward caches), so replica r is safe to use from one
-/// thread at a time, and different replicas are safe to use concurrently.
+/// worker process reads the same physical pages (DESIGN §14). Every replica
+/// carries its own per-request workspace (encoder arenas, forward caches),
+/// so replica r is safe to use from one thread at a time, and different
+/// replicas are safe to use concurrently.
 ///
 /// Callers that serve long-running traffic (serve::DynamicBatcher) build
 /// one pool at startup and reuse it for every batch; the per-call batch

@@ -1,5 +1,7 @@
 #include "doduo/experiments/env.h"
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "doduo/nn/serialize.h"
@@ -116,7 +118,11 @@ core::DoduoConfig Env::MakeDoduoConfig() const {
 }
 
 std::string Env::CacheKey() const {
+  // Bumped whenever the cached file's format changes, so a stale file is
+  // never offered to the loader (2: v2 checkpoints).
+  constexpr uint64_t kCacheFormat = 2;
   uint64_t hash = 1469598103934665603ULL;
+  hash = HashCombine(hash, kCacheFormat);
   hash = HashCombine(hash, static_cast<uint64_t>(options_.mode));
   hash = HashCombine(hash, options_.seed);
   hash = HashCombine(hash, static_cast<uint64_t>(vocab_.size()));
@@ -218,9 +224,23 @@ void Env::EnsurePretrained() {
                   << stopwatch.ElapsedSeconds() << "s";
 
   if (options_.use_cache) {
+    // Write-then-rename: other processes may have the previous file
+    // mapped, and truncating it in place would fault their reads.
     std::filesystem::create_directories(CacheDir());
-    const util::Status status = nn::SaveParameters(cache_path, params);
+    const std::string tmp_path =
+        cache_path + ".tmp" + std::to_string(::getpid());
+    util::Status status = nn::SaveParametersV2(tmp_path, params);
+    if (status.ok()) {
+      std::error_code ec;
+      std::filesystem::rename(tmp_path, cache_path, ec);
+      if (ec) {
+        status = util::Status::IoError("cannot rename " + tmp_path + ": " +
+                                       ec.message());
+      }
+    }
     if (!status.ok()) {
+      std::error_code ignored;
+      std::filesystem::remove(tmp_path, ignored);
       DODUO_LOG(Warning) << "failed to cache LM: " << status.ToString();
     }
   }
@@ -235,7 +255,10 @@ void Env::InitializeFromPretrained(core::DoduoModel* model) {
   for (size_t i = 0; i < source.size(); ++i) {
     DODUO_CHECK_EQ(source[i]->name, target[i]->name);
     DODUO_CHECK(nn::SameShape(source[i]->value, target[i]->value));
-    target[i]->value = source[i]->value;
+    // A cache hit leaves the source borrowing the mapped checkpoint; the
+    // target is fine-tuned, so it needs its own writable copy.
+    target[i]->value = source[i]->value.MaterializeOwned();
+    target[i]->BumpRevision();
   }
 }
 

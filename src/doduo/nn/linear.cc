@@ -1,7 +1,6 @@
 #include "doduo/nn/linear.h"
 
 #include <cmath>
-#include <utility>
 
 #include "doduo/nn/ops.h"
 
@@ -18,28 +17,8 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features,
   }
 }
 
-bool Linear::QuantView(Int8WeightView* view) const {
-  if (!QuantEnabled()) return false;
-  if (w_.prequant != nullptr && w_.prequant_revision == w_.revision) {
-    *view = View(*w_.prequant);
-    return true;
-  }
-  if (!qcache_valid_ || qcache_revision_ != w_.revision) {
-    QuantizeWeight(w_.value, &qcache_);
-    qcache_revision_ = w_.revision;
-    qcache_valid_ = true;
-  }
-  *view = View(qcache_);
-  return true;
-}
-
 const Tensor& Linear::Forward(const Tensor& x) {
   cached_input_ = x;
-  Int8WeightView qw;
-  if (QuantView(&qw)) {
-    Int8Linear(x, qw, std::as_const(b_.value).data(), &output_);
-    return output_;
-  }
   MatMul(x, w_.value, &output_);
   AddRowBroadcast(&output_, b_.value);
   return output_;
@@ -47,21 +26,11 @@ const Tensor& Linear::Forward(const Tensor& x) {
 
 Tensor& Linear::ForwardNoBias(const Tensor& x) {
   cached_input_ = x;
-  Int8WeightView qw;
-  if (QuantView(&qw)) {
-    Int8Linear(x, qw, /*bias=*/nullptr, &output_);
-    return output_;
-  }
   MatMul(x, w_.value, &output_);
   return output_;
 }
 
 void Linear::ForwardInto(const Tensor& x, Tensor* out) const {
-  Int8WeightView qw;
-  if (QuantView(&qw)) {
-    Int8Linear(x, qw, std::as_const(b_.value).data(), out);
-    return;
-  }
   MatMul(x, w_.value, out);
   AddRowBroadcast(out, b_.value);
 }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "doduo/nn/parameter.h"
-#include "doduo/nn/quant.h"
 #include "doduo/nn/tensor.h"
 #include "doduo/util/rng.h"
 
@@ -57,25 +56,11 @@ class Linear {
   Parameter& bias() { return b_; }
 
  private:
-  /// Fills `view` with the int8 rendering of the weight and returns true
-  /// when the quantized path should run (DODUO_QUANT on): a checkpoint's
-  /// precomputed table when one is attached and still current, else a lazy
-  /// per-layer cache rebuilt whenever the weight revision moves (optimizer
-  /// steps and checkpoint loads bump it, so training through a
-  /// quant-enabled layer stays correct, just slow). Mutable state touched
-  /// from const ForwardInto — safe under the one-thread-per-replica
-  /// serving contract (DESIGN §13).
-  bool QuantView(Int8WeightView* view) const;
-
   Parameter w_;  // [in, out]
   Parameter b_;  // [out]
   Tensor cached_input_;
   Tensor output_;
   Tensor grad_input_;
-
-  mutable QuantizedWeight qcache_;
-  mutable uint64_t qcache_revision_ = 0;
-  mutable bool qcache_valid_ = false;
 };
 
 }  // namespace doduo::nn

@@ -70,7 +70,7 @@ void Adam::Step(double learning_rate) {
       value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
       grad[i] = 0.0f;
     }
-    p->BumpRevision();  // invalidates the int8 quantization cache
+    p->BumpRevision();
   }
 }
 

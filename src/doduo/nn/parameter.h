@@ -2,7 +2,6 @@
 #define DODUO_NN_PARAMETER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,22 +9,6 @@
 #include "doduo/nn/tensor.h"
 
 namespace doduo::nn {
-
-/// An int8 rendering of a 2-D weight, precomputed at checkpoint-convert or
-/// load time (DESIGN §14). The payload is stored *transposed* relative to
-/// the fp32 parameter — row j holds output channel j of a [in, out] weight,
-/// so the int8 GEMM streams contiguous rows — with one fp32 scale per
-/// output channel (symmetric quantization: w ≈ scale[j] · q[j, :]).
-/// The pointers may alias an mmap-ed checkpoint section; `keepalive` pins
-/// whatever owns them. Instances are immutable once built and shared across
-/// replicas via shared_ptr.
-struct PrequantizedWeight {
-  const int8_t* q = nullptr;     // [out, in], row per output channel
-  const float* scale = nullptr;  // [out]
-  int64_t out = 0;
-  int64_t in = 0;
-  std::shared_ptr<const void> keepalive;
-};
 
 /// A trainable tensor with its gradient accumulator. Layers own their
 /// Parameters; optimizers work on a flat list of pointers collected via
@@ -35,35 +18,21 @@ struct PrequantizedWeight {
 ///
 /// `revision` counts value overwrites: every writer that replaces or steps
 /// the weights (checkpoint load, optimizer step, snapshot restore) bumps it,
-/// and derived caches — the int8 quantization of the weight above all —
-/// record the revision they were built at and rebuild on mismatch. The
-/// counter is monotonically increasing and never consulted for anything but
-/// equality, so a bump is always safe.
+/// so a holder of anything derived from the weights can compare revisions to
+/// tell whether it is stale. The counter only increases, so a bump is always
+/// safe.
 struct Parameter {
   std::string name;
   Tensor value;
   Tensor grad;
   uint64_t revision = 0;
 
-  /// Optional load-time int8 rendering of `value`; valid only while
-  /// `prequant_revision == revision` (any later overwrite of the weight
-  /// silently orphans it, and consumers fall back to re-quantizing).
-  std::shared_ptr<const PrequantizedWeight> prequant;
-  uint64_t prequant_revision = 0;
-
   Parameter() = default;
   Parameter(std::string param_name, std::vector<int64_t> shape)
       : name(std::move(param_name)), value(shape), grad(std::move(shape)) {}
 
-  /// Records that `value` was overwritten, invalidating derived caches.
+  /// Records that `value` was overwritten.
   void BumpRevision() { ++revision; }
-
-  /// Attaches a precomputed int8 weight for the value at its current
-  /// revision.
-  void AttachPrequant(std::shared_ptr<const PrequantizedWeight> pq) {
-    prequant = std::move(pq);
-    prequant_revision = revision;
-  }
 
   /// Zeroes the gradient accumulator.
   void ZeroGrad() { grad.Zero(); }

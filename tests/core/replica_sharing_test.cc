@@ -15,7 +15,6 @@
 #include "doduo/core/model.h"
 #include "doduo/core/model_io.h"
 #include "doduo/nn/parameter.h"
-#include "doduo/nn/quant.h"
 #include "doduo/table/table.h"
 #include "doduo/util/rng.h"
 #include "gtest/gtest.h"
@@ -61,18 +60,17 @@ table::Table SmallTable() {
   return table;
 }
 
-std::string SaveDir(Fixture* fx, const char* name,
-                    const SaveModelOptions& options) {
+std::string SaveDir(Fixture* fx, const char* name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   const util::Status saved = SaveModelDir(dir, fx->model.get(), fx->vocab,
-                                          fx->types, fx->relations, options);
+                                          fx->types, fx->relations);
   EXPECT_TRUE(saved.ok()) << saved.ToString();
   return dir;
 }
 
 TEST(ReplicaSharingTest, ReplicasAliasOneWeightCopyOverV2Mmap) {
   Fixture fx;
-  const std::string dir = SaveDir(&fx, "share_v2", {.checkpoint_version = 2});
+  const std::string dir = SaveDir(&fx, "share_v2");
   auto loaded = LoadModelDir(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   LoadedModel& m = *loaded.value();
@@ -112,52 +110,9 @@ TEST(ReplicaSharingTest, ReplicasAliasOneWeightCopyOverV2Mmap) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
-  Fixture fx;
-  const std::string dir = SaveDir(
-      &fx, "share_int8", {.checkpoint_version = 2, .quant_int8 = true});
-  auto loaded = LoadModelDir(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  LoadedModel& m = *loaded.value();
-
-  const nn::ParameterList primary_params = m.model->Parameters();
-  int with_prequant = 0;
-  for (const nn::Parameter* p : primary_params) {
-    if (p->prequant != nullptr) ++with_prequant;
-  }
-  ASSERT_GT(with_prequant, 0) << "int8 checkpoint attached no tables";
-
-  ReplicaPool pool(m.model.get(), m.serializer.get(), &m.types,
-                   m.relation_vocab(), 2);
-  const nn::ParameterList replica_params = pool.model(1)->Parameters();
-  ASSERT_EQ(replica_params.size(), primary_params.size());
-  for (size_t i = 0; i < primary_params.size(); ++i) {
-    // One shared table object per parameter, not one per replica.
-    EXPECT_EQ(replica_params[i]->prequant.get(),
-              primary_params[i]->prequant.get())
-        << primary_params[i]->name;
-    if (primary_params[i]->prequant != nullptr) {
-      EXPECT_EQ(replica_params[i]->prequant_revision,
-                replica_params[i]->revision);
-    }
-  }
-
-  // And the quantized path over shared tables still matches the primary.
-  nn::SetQuantEnabled(true);
-  const table::Table table = SmallTable();
-  auto want = pool.annotator(0)->AnnotateTypes(table);
-  auto got = pool.annotator(1)->AnnotateTypes(table);
-  nn::SetQuantEnabled(false);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), want.value());
-  std::filesystem::remove_all(dir);
-}
-
 TEST(ReplicaSharingTest, AdoptedModelRejectsWeightMutation) {
   Fixture fx;
-  const std::string dir =
-      SaveDir(&fx, "share_readonly", {.checkpoint_version = 2});
+  const std::string dir = SaveDir(&fx, "share_readonly");
   auto loaded = LoadModelDir(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   nn::ParameterList params = loaded.value()->model->Parameters();
@@ -170,8 +125,7 @@ TEST(ReplicaSharingTest, AdoptedModelRejectsWeightMutation) {
 
 TEST(ReplicaSharingTest, RestoreWeightsReownsAfterAdoption) {
   // A model that adopted a snapshot can be made trainable again by
-  // RestoreWeights (the copying path) — and its revision moves so stale
-  // int8 caches die.
+  // RestoreWeights (the copying path) — and its revision moves.
   Fixture fx;
   auto snapshot = std::make_shared<const std::vector<nn::Tensor>>(
       fx.model->SnapshotWeights());

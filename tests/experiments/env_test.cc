@@ -4,10 +4,15 @@
 
 #include "doduo/experiments/env.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "doduo/experiments/runners.h"
+#include "doduo/util/metrics.h"
 #include "gtest/gtest.h"
 
 namespace doduo::experiments {
@@ -107,6 +112,44 @@ TEST(EnvTest, CheckpointCacheRoundTrips) {
     ASSERT_TRUE(nn::SameShape(first_weights, second_weights));
     for (int64_t i = 0; i < first_weights.size(); ++i) {
       ASSERT_FLOAT_EQ(first_weights.data()[i], second_weights.data()[i]);
+    }
+  }
+  unsetenv("DODUO_CACHE_DIR");
+  std::filesystem::remove_all(cache_dir);
+}
+
+TEST(EnvTest, CacheHitFineTunesLikeCacheMiss) {
+  // A cache hit leaves the pre-trained LM borrowing the mmap-ed checkpoint;
+  // fine-tuning from it must neither trip the read-only CHECK nor change a
+  // single bit relative to fine-tuning from the freshly trained weights.
+  const std::string cache_dir = ::testing::TempDir() + "/doduo_env_cache_ft";
+  std::filesystem::remove_all(cache_dir);
+  setenv("DODUO_CACHE_DIR", cache_dir.c_str(), 1);
+
+  EnvOptions options = TinyOptions(BenchmarkMode::kWikiTable);
+  options.use_cache = true;
+  DoduoVariant variant;
+  variant.epochs = 1;
+  std::vector<nn::Tensor> miss;
+  {
+    Env env(options);  // trains the LM and writes the cache
+    miss = RunDoduo(&env, variant).model->SnapshotWeights();
+  }
+  util::Counter* mapped = util::GetCounter("load.bytes_mapped");
+  const uint64_t mapped_before = mapped->value();
+  std::vector<nn::Tensor> hit;
+  {
+    Env env(options);  // loads the LM from the cache
+    hit = RunDoduo(&env, variant).model->SnapshotWeights();
+  }
+  EXPECT_GT(mapped->value(), mapped_before) << "second Env missed the cache";
+  ASSERT_EQ(hit.size(), miss.size());
+  for (size_t t = 0; t < miss.size(); ++t) {
+    ASSERT_TRUE(nn::SameShape(miss[t], hit[t]));
+    for (int64_t i = 0; i < miss[t].size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(std::as_const(miss[t]).data()[i]),
+                std::bit_cast<uint32_t>(std::as_const(hit[t]).data()[i]))
+          << "tensor " << t << " element " << i;
     }
   }
   unsetenv("DODUO_CACHE_DIR");

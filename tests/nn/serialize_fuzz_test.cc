@@ -1,8 +1,10 @@
 // Checkpoint-loader fuzzing, in the style of csv_fuzz_test/
 // tokenizer_fuzz_test: seeded random byte mutations and truncations of a
-// valid checkpoint must always come back as a clean util::Status — never a
-// crash, hang, or blow-up allocation. Complements serialize_test's
-// exhaustive every-byte-prefix sweep (DESIGN §10) with randomized depth.
+// checkpoint must always come back as a clean util::Status — never a crash,
+// hang, or blow-up allocation. Two corpora: a file in the retired v1 layout
+// (which must always be refused) and a valid v2 file. Complements the
+// exhaustive every-byte-prefix sweeps of serialize_test and
+// serialize_v2_test (DESIGN §10) with randomized depth.
 
 #include "doduo/nn/serialize.h"
 
@@ -17,6 +19,7 @@
 #include "doduo/nn/parameter.h"
 #include "doduo/util/rng.h"
 #include "gtest/gtest.h"
+#include "nn/legacy_checkpoint.h"
 
 namespace doduo::nn {
 namespace {
@@ -58,25 +61,23 @@ ParameterList AsList(std::vector<Parameter>& params) {
   return list;
 }
 
-std::string ValidCheckpointBytes(const char* name) {
+/// v1 corpus: the same model in the retired stream layout, so mutations land
+/// in its magic, version, counts, name bytes, shape dims, or float payload.
+std::string LegacyCheckpointBytes() {
   util::Rng rng(7);
   std::vector<Parameter> params = MakeParams();
   for (Parameter& p : params) p.value.FillNormal(&rng, 1.0f);
-  const std::string path = TempPath(name);
-  const auto saved = SaveParameters(path, AsList(params));
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  return ReadFileBytes(path);
+  return LegacyV1CheckpointBytes(AsList(params));
 }
 
-/// v2 corpus: same model, mmap-able format, int8 on so mutations can also
-/// land in dtype bytes, scale tables, and the section offset fields.
+/// v2 corpus: the same model in the mmap-able format, so mutations can land
+/// in the header, TOC dims, and section offset fields.
 std::string ValidV2CheckpointBytes(const char* name) {
   util::Rng rng(7);
   std::vector<Parameter> params = MakeParams();
   for (Parameter& p : params) p.value.FillNormal(&rng, 1.0f);
   const std::string path = TempPath(name);
-  const auto saved =
-      SaveParametersV2(path, AsList(params), {.quant_int8 = true});
+  const auto saved = SaveParametersV2(path, AsList(params));
   EXPECT_TRUE(saved.ok()) << saved.ToString();
   return ReadFileBytes(path);
 }
@@ -84,7 +85,7 @@ std::string ValidV2CheckpointBytes(const char* name) {
 class SerializeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SerializeFuzzTest, RandomByteMutationsNeverCrash) {
-  const std::string valid = ValidCheckpointBytes("fuzz_mutate.bin");
+  const std::string valid = LegacyCheckpointBytes();
   ASSERT_GT(valid.size(), 0u);
   const std::string path = TempPath("fuzz_mutate_victim.bin");
   util::Rng rng(GetParam());
@@ -97,17 +98,16 @@ TEST_P(SerializeFuzzTest, RandomByteMutationsNeverCrash) {
     }
     WriteFileBytes(path, bytes);
     std::vector<Parameter> params = MakeParams();
-    // Either the mutation hit float payload (loads fine) or structure
-    // (clean, named error). Both are acceptable; crashing is not.
+    // A mutated v1 file is still not a v2 file: it is always refused, with
+    // a message, whether the flips hit the version field or not.
     const util::Status status = LoadParameters(path, AsList(params));
-    if (!status.ok()) {
-      ASSERT_FALSE(status.message().empty()) << "trial " << trial;
-    }
+    ASSERT_FALSE(status.ok()) << "trial " << trial;
+    ASSERT_FALSE(status.message().empty()) << "trial " << trial;
   }
 }
 
 TEST_P(SerializeFuzzTest, RandomTruncationsAlwaysFailCleanly) {
-  const std::string valid = ValidCheckpointBytes("fuzz_trunc.bin");
+  const std::string valid = LegacyCheckpointBytes();
   ASSERT_GT(valid.size(), 0u);
   const std::string path = TempPath("fuzz_trunc_victim.bin");
   util::Rng rng(GetParam() + 1);
@@ -122,7 +122,7 @@ TEST_P(SerializeFuzzTest, RandomTruncationsAlwaysFailCleanly) {
 }
 
 TEST_P(SerializeFuzzTest, MutatedTruncationsNeverCrash) {
-  const std::string valid = ValidCheckpointBytes("fuzz_both.bin");
+  const std::string valid = LegacyCheckpointBytes();
   ASSERT_GT(valid.size(), 0u);
   const std::string path = TempPath("fuzz_both_victim.bin");
   util::Rng rng(GetParam() + 2);
@@ -136,9 +136,8 @@ TEST_P(SerializeFuzzTest, MutatedTruncationsNeverCrash) {
     WriteFileBytes(path, bytes);
     std::vector<Parameter> params = MakeParams();
     const util::Status status = LoadParameters(path, AsList(params));
-    if (!status.ok()) {
-      ASSERT_FALSE(status.message().empty()) << "trial " << trial;
-    }
+    ASSERT_FALSE(status.ok()) << "trial " << trial;
+    ASSERT_FALSE(status.message().empty()) << "trial " << trial;
   }
 }
 
@@ -148,7 +147,7 @@ TEST_P(SerializeFuzzTest, MutatedTruncationsNeverCrash) {
 // buffer is sized (DESIGN §10). Allocation growth across a whole fuzzing
 // sweep stays within what the small valid model itself needs.
 TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
-  const std::string valid = ValidCheckpointBytes("fuzz_alloc.bin");
+  const std::string valid = LegacyCheckpointBytes();
   const std::string path = TempPath("fuzz_alloc_victim.bin");
   util::Rng rng(GetParam() + 3);
   for (int trial = 0; trial < 100; ++trial) {
@@ -162,9 +161,8 @@ TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
     const uint64_t before = TensorAllocCount();
     const util::Status status = LoadParameters(path, AsList(params));
     const uint64_t grown = TensorAllocCount() - before;
-    // The legacy-QKV gather shim may allocate a few pack buffers; a
-    // runaway (implausible-dim) allocation would be orders of magnitude
-    // more. Keep a loose per-trial cap.
+    // A runaway (implausible-dim) allocation would be orders of magnitude
+    // more than this loose per-trial cap.
     ASSERT_LE(grown, 64u) << "trial " << trial << ": "
                           << (status.ok() ? "ok" : status.ToString());
   }
@@ -179,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerializeFuzzTest,
 // The v2 loader validates every TOC extent against the fstat size before it
 // dereferences the mapping, so the same properties must hold: any mutation,
 // truncation, or misalignment yields a clean Status — including offsets that
-// point outside the file or scale tables that overlap the end.
+// point outside the file or sections that overlap the end.
 
 class SerializeV2FuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -248,8 +246,8 @@ TEST_P(SerializeV2FuzzTest, RandomTruncationsAlwaysFailCleanly) {
 #ifdef DODUO_COUNT_ALLOCS
 TEST_P(SerializeV2FuzzTest, StructuralMutationsNeverOverAllocate) {
   // A corrupt dim or byte count must be rejected by the overflow-safe
-  // extent checks BEFORE the dequant buffer (the only sized allocation on
-  // this path) is created.
+  // extent checks; a load that borrows the mapping allocates no tensor
+  // storage at all.
   const std::string valid = ValidV2CheckpointBytes("fuzz_v2_alloc.bin");
   const std::string path = TempPath("fuzz_v2_alloc_victim.bin");
   const size_t toc_end = std::min<size_t>(valid.size(), 64 + 4 * 136);

@@ -73,9 +73,9 @@ TEST(DiscardedStatusTest, VoidCastIsAnExplicitDiscard) {
 TEST(DiscardedStatusTest, DeclarationIsNotACall) {
   const auto vs = Lint("src/doduo/nn/serialize.h",
                       "#pragma once\n"
-                      "util::Status SaveParameters(const std::string& path,\n"
+                      "util::Status SaveParametersV2(const std::string& path,\n"
                       "                            const ParameterList& p);\n",
-                      {"SaveParameters"});
+                      {"SaveParametersV2"});
   EXPECT_TRUE(vs.empty());
 }
 
@@ -464,83 +464,6 @@ TEST(SleepSyncTest, NolintSuppresses) {
       kRuleSleepSync));
 }
 
-// -- quant-no-float-in-int8-kernel ------------------------------------------
-
-TEST(QuantNoFloatTest, FloatTypeInsideInt8KernelFires) {
-  EXPECT_TRUE(HasRule(
-      Lint("src/doduo/nn/quant.cc",
-          "int32_t Int8DotKernelScalar(const int8_t* a, const int8_t* b,\n"
-          "                            int64_t k) {\n"
-          "  float acc = 0;\n"
-          "  return static_cast<int32_t>(acc);\n"
-          "}\n"),
-      kRuleQuantNoFloat));
-}
-
-TEST(QuantNoFloatTest, FloatLiteralInsideInt8KernelFires) {
-  EXPECT_TRUE(HasRule(
-      Lint("src/doduo/nn/quant.cc",
-          "int32_t Int8DotKernelSse2(const int8_t* a, const int8_t* b,\n"
-          "                          int64_t k) {\n"
-          "  int32_t acc = static_cast<int32_t>(k * 1.5);\n"
-          "  return acc;\n"
-          "}\n"),
-      kRuleQuantNoFloat));
-}
-
-TEST(QuantNoFloatTest, PackedFloatIntrinsicFires) {
-  EXPECT_TRUE(HasRule(
-      Lint("src/doduo/nn/quant.cc",
-          "int32_t Int8DotKernelAvx2(const int8_t* a, const int8_t* b,\n"
-          "                          int64_t k) {\n"
-          "  __m128 v = _mm_setzero_ps();\n"
-          "  return _mm_cvtss_si32(v);\n"
-          "}\n"),
-      kRuleQuantNoFloat));
-}
-
-TEST(QuantNoFloatTest, IntegerOnlyKernelIsClean) {
-  EXPECT_FALSE(HasRule(
-      Lint("src/doduo/nn/quant.cc",
-          "int32_t Int8DotKernelScalar(const int8_t* a, const int8_t* b,\n"
-          "                            int64_t k) {\n"
-          "  int32_t acc = 0;\n"
-          "  for (int64_t i = 0; i < k; ++i) acc += a[i] * b[i];\n"
-          "  return acc;\n"
-          "}\n"),
-      kRuleQuantNoFloat));
-}
-
-TEST(QuantNoFloatTest, DequantEpilogueOutsideKernelIsOutOfScope) {
-  // Float math in the differently-named caller is the designed split.
-  EXPECT_FALSE(HasRule(
-      Lint("src/doduo/nn/quant.cc",
-          "void Int8Linear(const float* sx, float* y, int64_t n) {\n"
-          "  for (int64_t j = 0; j < n; ++j) y[j] = sx[j] * 0.5f;\n"
-          "}\n"),
-      kRuleQuantNoFloat));
-}
-
-TEST(QuantNoFloatTest, DeclarationWithoutBodyIsOutOfScope) {
-  EXPECT_FALSE(HasRule(
-      Lint("src/doduo/nn/quant.h",
-          "int32_t Int8DotKernelScalar(const int8_t* a, const int8_t* b,\n"
-          "                            int64_t k);\n"
-          "double Unrelated(double x);\n"),
-      kRuleQuantNoFloat));
-}
-
-TEST(QuantNoFloatTest, NolintSuppresses) {
-  EXPECT_FALSE(HasRule(
-      Lint("src/doduo/nn/quant.cc",
-          "int32_t Int8DotKernelScalar(const int8_t* a, const int8_t* b,\n"
-          "                            int64_t k) {\n"
-          "  float acc = 0;  // NOLINT(quant-no-float-in-int8-kernel)\n"
-          "  return static_cast<int32_t>(acc);\n"
-          "}\n"),
-      kRuleQuantNoFloat));
-}
-
 // -- NOLINT mechanics -------------------------------------------------------
 
 TEST(NolintTest, BareNolintSilencesEveryRuleOnTheLine) {
@@ -569,12 +492,12 @@ TEST(NolintTest, MultipleRulesInOneAnnotation) {
 TEST(CollectStatusFunctionsTest, FindsStatusAndResultDeclarations) {
   std::set<std::string, std::less<>> names;
   CollectStatusFunctions(
-      "util::Status SaveParameters(const std::string& path);\n"
+      "util::Status SaveParametersV2(const std::string& path);\n"
       "util::Result<std::vector<int>> Decode(std::string_view bytes);\n"
       "[[nodiscard]] Result<Table> TableFromCsvRows(const CsvRows& rows);\n"
       "void NotThisOne(int x);\n",
       &names);
-  EXPECT_EQ(names.count("SaveParameters"), 1u);
+  EXPECT_EQ(names.count("SaveParametersV2"), 1u);
   EXPECT_EQ(names.count("Decode"), 1u);
   EXPECT_EQ(names.count("TableFromCsvRows"), 1u);
   EXPECT_EQ(names.count("NotThisOne"), 0u);

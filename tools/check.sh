@@ -50,30 +50,9 @@ cmake --build build -j "${jobs}"
 ctest --test-dir build --output-on-failure -j "${jobs}"
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "=== skipped quant gate + -Werror + thread-safety + sanitizer configs (--fast) ==="
+  echo "=== skipped -Werror + thread-safety + sanitizer configs (--fast) ==="
   exit 0
 fi
-
-echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
-# Focused re-run of the quantization contracts — kernel bit-equality across
-# ISAs, the v2 loader fuzz suites, replica weight sharing, the lint rule,
-# and the Table 3/4 F1 parity locks — then the throughput gate: int8 GEMM
-# must beat the fp32 scalar reference by >= 1.5x. (The v2 fuzz suites also
-# run under ASan/UBSan below via nn_test in ${sanitizer_filter}.)
-ctest --test-dir build --output-on-failure -j "${jobs}" \
-  -R 'Quant|SerializeV2|ReplicaSharing'
-cmake --build build -j "${jobs}" --target bench_kernels
-DODUO_BENCH_QUANT=1 DODUO_BENCH_QUANT_JSON=build/BENCH_quant.json \
-  ./build/bench/bench_kernels --benchmark_filter='BM_Int8Gemm/64/1$' \
-  2> build/quant_bench.log >/dev/null || { cat build/quant_bench.log; exit 1; }
-speedup="$(awk -F'= ' '/int8\/fp32-scalar speedup/ {print $2}' \
-  build/quant_bench.log)"
-awk -v s="${speedup:-0}" 'BEGIN { exit (s + 0 >= 1.5) ? 0 : 1 }' || {
-  echo "FAIL: int8 GEMM speedup ${speedup:-unknown}x < 1.5x over fp32 scalar"
-  exit 1
-}
-echo "int8 GEMM speedup ${speedup}x over fp32 scalar (gate: >= 1.5x);" \
-  "scorecard in build/BENCH_quant.json"
 
 echo "=== warning wall (-Werror, Release) ==="
 cmake -B build-werror -S . -DDODUO_WERROR=ON >/dev/null
@@ -121,4 +100,4 @@ ctest --test-dir build-ubsan --output-on-failure -j "${jobs}" \
   -R 'DirtyFixtures|ColumnSanitizer|NullMarker|SkipReason|CalibratedConfidence|FitTemperature|AnnotatorRobust'
 ctest --test-dir build-ubsan --output-on-failure -j "${jobs}"
 
-echo "=== all checks passed (lint + quant gate + -Werror + thread-safety; ${sanitizer_filter} under ASan/TSan; tier-1 under UBSan) ==="
+echo "=== all checks passed (lint + -Werror + thread-safety; ${sanitizer_filter} under ASan/TSan; tier-1 under UBSan) ==="

@@ -22,7 +22,6 @@
 
 #include "doduo/core/model_io.h"
 #include "doduo/core/replica_pool.h"
-#include "doduo/nn/quant.h"
 #include "doduo/serve/server.h"
 #include "doduo/util/env.h"
 #include "doduo/util/thread_pool.h"
@@ -106,9 +105,6 @@ int main(int argc, char** argv) {
   std::printf("doduo_serve: %d replica(s), batch<=%d, wait<=%ldus\n",
               pool.num_replicas(), options.batcher.max_batch_size,
               static_cast<long>(options.batcher.max_wait_us));
-  std::printf("doduo_serve: int8 %s (kernel %s, DODUO_QUANT)\n",
-              doduo::nn::QuantEnabled() ? "on" : "off",
-              doduo::nn::Int8KernelName());
   std::printf("listening on %s:%d\n", options.host.c_str(), server.port());
   std::fflush(stdout);
 

@@ -312,7 +312,6 @@ class Linter {
   std::vector<Violation> Run() {
     CheckCallTokens();
     CheckMetricsInLoop();
-    CheckInt8Kernels();
     CheckHeaderGuard();
     CheckIncludeOrder();
     std::sort(violations_.begin(), violations_.end(),
@@ -612,61 +611,6 @@ class Linter {
                      "metrics registry lookup '" + std::string(t) +
                          "' inside a loop; resolve the pointer once outside "
                          "(cached-pointer pattern, DESIGN §10)");
-        }
-      }
-    }
-  }
-
-  // quant-no-float-in-int8-kernel: the int8 GEMM contract (DESIGN §14) is
-  // that accumulation is pure integer math — that is what makes the kernels
-  // bit-identical across ISAs and thread counts. A function whose name
-  // matches *Int8*Kernel* must therefore contain no float/double types, no
-  // floating-point literals, and no *_ps/*_pd SIMD intrinsics; the dequant
-  // epilogue belongs in a differently-named caller.
-  void CheckInt8Kernels() {
-    const int n = static_cast<int>(tokens_.size());
-    auto is_kernel_name = [](std::string_view name) {
-      const size_t int8 = name.find("Int8");
-      return int8 != std::string_view::npos &&
-             name.find("Kernel", int8 + 4) != std::string_view::npos;
-    };
-    for (int i = 0; i < n; ++i) {
-      const Token& t = tokens_[i];
-      if (t.kind != TokenKind::kIdent || !is_kernel_name(t.text)) continue;
-      if (i + 1 >= n || tokens_[i + 1].text != "(") continue;
-      const int close = MatchParen(tokens_, i + 1);
-      if (close < 0) continue;
-      // Skip trailing specifiers to the body brace; a ';' means this was
-      // only a declaration (or a call — either way, no body to check).
-      int open = close + 1;
-      while (open < n && (tokens_[open].text == "const" ||
-                          tokens_[open].text == "noexcept" ||
-                          tokens_[open].text == "override")) {
-        ++open;
-      }
-      if (open >= n || tokens_[open].text != "{") continue;
-      int depth = 0;
-      for (int j = open; j < n; ++j) {
-        const Token& b = tokens_[j];
-        if (b.text == "{") ++depth;
-        if (b.text == "}" && --depth == 0) break;
-        if (b.kind == TokenKind::kIdent) {
-          const bool fp_intrinsic =
-              b.text.size() > 3 && (b.text.ends_with("_ps") ||
-                                    b.text.ends_with("_pd"));
-          if (b.text == "float" || b.text == "double" || fp_intrinsic) {
-            Report(b.line, kRuleQuantNoFloat,
-                   "'" + std::string(b.text) + "' inside int8 kernel '" +
-                       std::string(t.text) +
-                       "'; int8 kernels are integer-only (the dequant "
-                       "epilogue lives in the caller)");
-          }
-        } else if (b.kind == TokenKind::kNumber &&
-                   b.text.find('.') != std::string_view::npos) {
-          Report(b.line, kRuleQuantNoFloat,
-                 "floating-point literal '" + std::string(b.text) +
-                     "' inside int8 kernel '" + std::string(t.text) +
-                     "'; int8 kernels are integer-only");
         }
       }
     }

@@ -55,7 +55,6 @@ inline constexpr char kRuleServeRawIo[] = "serve-raw-io";
 inline constexpr char kRuleRawMutex[] = "raw-mutex";
 inline constexpr char kRuleDetachedThread[] = "detached-thread";
 inline constexpr char kRuleSleepSync[] = "sleep-sync";
-inline constexpr char kRuleQuantNoFloat[] = "quant-no-float-in-int8-kernel";
 
 // ---------------------------------------------------------------------------
 // Lexer (shared with the whole-program layer).
